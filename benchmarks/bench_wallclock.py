@@ -1,7 +1,7 @@
 """Wall-clock benchmark of the batched EXTEND kernels (docs/performance.md).
 
-Every other benchmark here reports *simulated* time; this one (like
-``bench_exec_backends``) measures real seconds. The batched kernel path
+Every other benchmark here reports *simulated* time; this one measures
+real seconds. The batched kernel path
 (``EngineConfig(extend_mode="batched")``, the default) and the scalar
 reference path produce bit-identical counts and simulated measurements
 by contract, so the only open question is throughput — this bench runs
@@ -24,7 +24,12 @@ Two entry points:
 Each (config, mode) pair is timed best-of-``--repeats`` end-to-end
 ``count_pattern`` runs on a fresh system, so graph-side lazy caches
 (degrees, adjacency bitmap) warm up exactly once per process the same
-way for both modes.
+way for both modes. A process row instead times
+:data:`PROCESS_PAIRS` interleaved inline-batched/process pairs,
+alternating which side runs
+first, and reports the median per-pair speedup with its min and max:
+a best-of on each side would let one lucky sample of either pass a
+gate that the typical run misses.
 
 ``--motifs`` switches to the motif-census sweep instead: full k-motif
 censuses on k-GraphPi under ``counting="enumerate"`` vs
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -69,6 +75,9 @@ _SMOKE_CONFIGS = (
 )
 #: process-backend worker counts for the inline-vs-process rows
 _WORKER_COUNTS = (4,)
+#: interleaved inline/process pairs behind every process row; the
+#: speedup gates judge the median of the per-pair ratios
+PROCESS_PAIRS = 5
 #: simulated machine count shared by every timed run
 _NUM_MACHINES = 8
 #: the headline inline-vs-process row `make perf-check` gates
@@ -136,7 +145,8 @@ def process_speedup_floor(cpus: Optional[int] = None) -> float:
 
 def gate_failures(result: dict, floor: float,
                   min_inline_seconds: float = GATE_MIN_INLINE_SECONDS):
-    """Process-speedup gate: every gated row must reach ``floor``.
+    """Process-speedup gate: every gated row's median pair ratio must
+    reach ``floor``.
 
     Rows with less than ``min_inline_seconds`` of inline-batched work
     are exempt — they measure the backend's fixed spawn cost, not its
@@ -151,8 +161,9 @@ def gate_failures(result: dict, floor: float,
             if speedup < floor:
                 failures.append(
                     f"{row['graph']}/{row['pattern']} at {workers} "
-                    f"workers: speedup_over_inline {speedup:.2f} < "
-                    f"gate {floor:.2f}"
+                    f"workers: median speedup_over_inline "
+                    f"{speedup:.2f} (min {entry['speedup_min']:.2f}, "
+                    f"max {entry['speedup_max']:.2f}) < gate {floor:.2f}"
                 )
     return failures
 
@@ -179,6 +190,47 @@ def _time_run(graph, graph_name, pattern, mode, backend=None, repeats=3):
         elapsed = perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, report
+
+
+def _time_process_pairs(graph, graph_name, pattern, workers):
+    """Inline-batched vs process wall seconds over
+    :data:`PROCESS_PAIRS` interleaved pairs, alternating which side
+    runs first so drift on a noisy host hits both sides alike. Returns
+    the process row and the last ``{side: report}`` pair (for the
+    count cross-checks)."""
+    # an untimed inline run first builds the graph's lazy caches
+    # (degrees, adjacency bitmap), so no pair's inline side pays them
+    _time_run(graph, graph_name, pattern, "batched", repeats=1)
+    inline_walls, process_walls, ratios = [], [], []
+    reports = {}
+    for index in range(PROCESS_PAIRS):
+        sides = ["inline", "process"]
+        if index % 2:
+            sides.reverse()
+        walls = {}
+        for side in sides:
+            backend = (ProcessBackend(workers=workers)
+                       if side == "process" else None)
+            walls[side], reports[side] = _time_run(
+                graph, graph_name, pattern, "batched", backend=backend,
+                repeats=1,
+            )
+        inline_walls.append(walls["inline"])
+        process_walls.append(walls["process"])
+        ratios.append(walls["inline"] / walls["process"])
+    row = {
+        "wall_seconds": statistics.median(process_walls),
+        "inline_wall_seconds": statistics.median(inline_walls),
+        # the gated figure: the median of the per-pair ratios
+        "speedup_over_inline": statistics.median(ratios),
+        "speedup_min": min(ratios),
+        "speedup_max": max(ratios),
+        "pairs": PROCESS_PAIRS,
+        # the backend clamps workers to the machine count; the
+        # effective value is what the speedup was measured with
+        "workers_effective": min(workers, _NUM_MACHINES),
+    }
+    return row, reports
 
 
 def measure(
@@ -220,23 +272,14 @@ def measure(
         }
         process = {}
         for workers in worker_counts:
-            wall, report = _time_run(
-                graph, graph_name, pattern, "batched",
-                backend=ProcessBackend(workers=workers), repeats=repeats,
-            )
+            entry, reports = _time_process_pairs(
+                graph, graph_name, pattern, workers)
+            report = reports["process"]
             assert report.counts == scalar_report.counts, (
                 f"backend divergence on {graph_name}/{pattern_spec}: "
                 f"{report.counts} != {scalar_report.counts}"
             )
-            process[str(workers)] = {
-                "wall_seconds": wall,
-                "speedup_over_inline": (
-                    batched_wall / wall if wall else 0.0
-                ),
-                # the backend clamps workers to the machine count; the
-                # effective value is what the speedup was measured with
-                "workers_effective": min(workers, _NUM_MACHINES),
-            }
+            process[str(workers)] = entry
         if process:
             row["process"] = process
         rows.append(row)
@@ -248,44 +291,31 @@ def measure(
     }
 
 
-def measure_headline_process(repeats: int = 2,
-                             workers: int = 4) -> dict:
+def measure_headline_process(workers: int = 4) -> dict:
     """Inline-batched vs process on the headline config only.
 
     The fast variant `make perf-check` gates: skips the scalar
     reference (the batched-over-scalar contract is covered by the
-    smoke set) and times just the two backends whose ratio the
-    process gate judges.
+    smoke set) and times just the interleaved inline/process pairs
+    whose median ratio the process gate judges.
     """
     graph_name, scale, pattern_spec = _HEADLINE_CONFIG
     graph = dataset(graph_name, scale=scale * SCALE)
     pattern = _pattern(pattern_spec)
-    batched_wall, batched_report = _time_run(
-        graph, graph_name, pattern, "batched", repeats=repeats
-    )
-    wall, report = _time_run(
-        graph, graph_name, pattern, "batched",
-        backend=ProcessBackend(workers=workers), repeats=repeats,
-    )
-    assert report.counts == batched_report.counts, (
+    entry, reports = _time_process_pairs(graph, graph_name, pattern,
+                                         workers)
+    report, inline_report = reports["process"], reports["inline"]
+    assert report.counts == inline_report.counts, (
         f"backend divergence on {graph_name}/{pattern_spec}: "
-        f"{report.counts} != {batched_report.counts}"
+        f"{report.counts} != {inline_report.counts}"
     )
-    assert report.simulated_seconds == batched_report.simulated_seconds
+    assert report.simulated_seconds == inline_report.simulated_seconds
     return {
         "graph": graph_name,
         "scale": scale * SCALE,
         "pattern": pattern_spec,
-        "batched_wall_seconds": batched_wall,
-        "process": {
-            str(workers): {
-                "wall_seconds": wall,
-                "speedup_over_inline": (
-                    batched_wall / wall if wall else 0.0
-                ),
-                "workers_effective": min(workers, _NUM_MACHINES),
-            }
-        },
+        "batched_wall_seconds": entry["inline_wall_seconds"],
+        "process": {str(workers): entry},
     }
 
 
@@ -446,14 +476,16 @@ def test_wallclock_process_gate():
     CPU-aware speedup floor — >=2x over inline-batched at 4 workers
     given >=4 CPUs, break-even on 2-3, and a bounded single-core
     regression on 1 CPU where 4 workers timeshare one core
-    (docs/performance.md explains the tiering)."""
-    row = measure_headline_process(repeats=2)
+    (docs/performance.md explains the tiering). The gated figure is
+    the median ratio of interleaved pairs; the failure message shows
+    the spread."""
+    row = measure_headline_process()
     floor = process_speedup_floor()
     failures = gate_failures({"rows": [row]}, floor,
                              min_inline_seconds=0.0)
     assert not failures, (
         f"process-backend speedup regressed on {effective_cpus()} "
-        f"CPUs: {'; '.join(failures)}"
+        f"CPUs: {'; '.join(failures)} (pairs: {row['process']})"
     )
 
 
@@ -491,8 +523,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--gate", type=float, default=None, metavar="FLOOR",
         help="fail (exit 1) if any process row with at least "
-             f"{GATE_MIN_INLINE_SECONDS}s of inline-batched work has "
-             "speedup_over_inline below FLOOR (see also --gate-auto)",
+             f"{GATE_MIN_INLINE_SECONDS}s of inline-batched work has a "
+             "median speedup_over_inline below FLOOR (see also "
+             "--gate-auto)",
     )
     parser.add_argument(
         "--gate-auto", action="store_true",

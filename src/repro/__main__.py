@@ -105,7 +105,6 @@ def _build_system(args):
             getattr(args, "workers", None),
             heartbeat=getattr(args, "heartbeat", None),
             on_worker_death=getattr(args, "on_worker_death", None),
-            ring_bytes=getattr(args, "ring_bytes", None),
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
@@ -195,19 +194,12 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
              "(default: 1s; docs/execution.md)",
     )
     parser.add_argument(
-        "--ring-bytes", type=int, default=None, metavar="BYTES",
-        help="process-backend capacity of each per-worker-pair "
-             "shared-memory reply ring (default: 1MiB); replies too "
-             "large for their ring take a pickled fallback queue "
-             "(docs/execution.md)",
-    )
-    parser.add_argument(
         "--on-worker-death", default=None, choices=["fail", "recover"],
         help="process-backend policy when a worker process dies: "
-             "'fail' returns a structured CRASHED report immediately, "
-             "'recover' re-executes the lost workers' hosted machines "
-             "through the deterministic inline path and reports "
-             "RECOVERED with complete counts (default: fail)",
+             "'fail' returns a structured CRASHED report once the "
+             "surviving workers have reported, 'recover' replays the "
+             "lost workers' hosted machines on the survivors and "
+             "reports RECOVERED with complete counts (default: fail)",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

@@ -256,16 +256,14 @@ class KhuzdulEngine:
         app: str,
         graph_name: str,
         hosted: set,
-        transport=None,
         checkpoint_sink=None,
         resume: Optional[dict] = None,
     ) -> tuple[list[int], RunReport]:
         """Run only ``hosted`` machine ids through the inline path.
 
         The execution-backend entry point (docs/execution.md): process
-        backend workers call it with their hosted subset and the queue
-        transport, and the parent's lost-worker re-execution calls it
-        with a dead worker's subset and no transport. The restriction
+        backend workers call it with their hosted subset, and lost-worker
+        redistribution calls it with a dead worker's subset. The restriction
         changes *which* schedulers run, never what any of them
         computes — which is why a re-executed subset reproduces a lost
         worker's counts and simulated measurements bit-exactly.
@@ -277,8 +275,7 @@ class KhuzdulEngine:
         """
         return self._execute_inline(
             schedules, udf, system, app, graph_name,
-            hosted=hosted, transport=transport,
-            checkpoint_sink=checkpoint_sink, resume=resume,
+            hosted=hosted, checkpoint_sink=checkpoint_sink, resume=resume,
         )
 
     def _execute_durable(
@@ -366,19 +363,16 @@ class KhuzdulEngine:
         app: str,
         graph_name: str,
         hosted: Optional[set] = None,
-        transport=None,
         checkpoint_sink=None,
         resume: Optional[dict] = None,
     ) -> tuple[list[int], RunReport]:
         """The simulated single-process execution path.
 
-        ``hosted``/``transport`` are the worker-process hooks of the
-        ``process`` backend (docs/execution.md): with ``hosted`` set,
-        only that subset of machine ids runs schedulers (the rest are
-        replicas other workers drive), and ``transport`` routes each
-        circulant batch's edge lists over real inter-process queues.
-        Neither changes any simulated quantity, which is what keeps
-        backend counts bit-identical.
+        ``hosted`` is the worker-process hook of the ``process`` backend
+        (docs/execution.md): with it set, only that subset of machine
+        ids runs schedulers (the rest are replicas other workers
+        drive). It never changes any simulated quantity, which is what
+        keeps backend counts bit-identical.
 
         ``checkpoint_sink(pattern, machine, roots, matches)`` observes
         every completed root chunk with its *absolute* cursor;
@@ -564,7 +558,7 @@ class KhuzdulEngine:
                                    "pattern": index},
                         ))
                     if udf is None:
-                        machine_udf: Udf = _NULL_UDF
+                        machine_udf: Udf = NULL_UDF
                     else:
                         machine_udf = _bind_udf(udf, index)
                     scheduler = MachineScheduler(
@@ -587,7 +581,6 @@ class KhuzdulEngine:
                         time_budget=config.time_budget,
                         obs=obs,
                         faults=injector,
-                        transport=transport,
                         batched_extend=(config.extend_mode == "batched"),
                         iep_plan=iep_plan,
                         checkpoint_sink=(
@@ -911,12 +904,6 @@ def _make_shard_sink(sink, pattern: int, shard: "_Shard"):
              base_matches + ckpt.matches)
 
     return on_checkpoint
-
-
-#: Default UDF: counting only. The sentinel lives in the scheduler
-#: module (it recognizes it by identity for the count-only fast path);
-#: this alias keeps the engine's historical name working.
-_NULL_UDF = NULL_UDF
 
 
 def _bind_udf(udf: MultiUdf, index: int) -> Udf:

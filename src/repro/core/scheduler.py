@@ -125,7 +125,6 @@ class MachineScheduler:
         time_budget: Optional[float] = None,
         obs: Optional[Observability] = None,
         faults: Optional[FaultInjector] = None,
-        transport=None,
         batched_extend: bool = True,
         checkpoint_sink: Optional[Callable] = None,
         iep_plan: Optional[CountingPlan] = None,
@@ -158,14 +157,6 @@ class MachineScheduler:
         self.time_budget = time_budget
         self.cost = cluster.cost
         self.faults = faults
-        #: real inter-process fetch channel of the ``process`` backend
-        #: (repro.exec). None in simulated-only runs; when set, each
-        #: chunk's circulant batches additionally travel as coalesced
-        #: requests whose replies stream back over shared-memory rings,
-        #: posted ahead of the batches that await them so communication
-        #: genuinely overlaps computation. The simulated accounting
-        #: below is unchanged either way.
-        self.transport = transport
         #: straggler degradation: >1 stretches compute and link time
         self._slow_factor = (
             faults.slowdown(machine.machine_id) if faults is not None else 1.0
@@ -666,22 +657,7 @@ class MachineScheduler:
             batch = groups.get(owner)
             if batch:
                 ordered.append((owner, batch))
-        transport = self.transport
-        if transport is not None and ordered:
-            # fire the whole chunk's demand up front, coalesced per
-            # server worker and split to ring-sized requests — the
-            # transport's flow control keeps only as many in flight as
-            # its reply rings can hold, so every batch below finds its
-            # reply already streaming while earlier batches compute
-            transport.post_chunk(
-                me,
-                [(owner, [emb.vertex for emb in batch])
-                 for owner, batch in ordered],
-            )
         for owner, batch in ordered:
-            if transport is not None:
-                transport.collect(me, owner,
-                                  [emb.vertex for emb in batch])
             server = self.cluster.machine(owner)
             network = self.cluster.network
             admit = self.cache.admit

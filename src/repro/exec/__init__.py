@@ -5,12 +5,11 @@ backend only chooses *where* the per-machine schedulers run:
 
 - ``inline`` (default): the historical single-process simulated path.
 - ``process``: one OS process per group of simulated machines, the
-  graph shared zero-copy through ``multiprocessing.shared_memory``,
-  inter-machine fetches travelling as real batched messages in
-  circulant order.
+  graph shared zero-copy through ``multiprocessing.shared_memory`` (or
+  a memory-mapped ``.kcsr`` store) and read directly by every worker.
 
-See docs/execution.md for the interface, wire protocol, and the
-determinism contract (bit-identical counts across backends).
+See docs/execution.md for the interface, the failure semantics, and
+the determinism contract (bit-identical counts across backends).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ def make_backend(
     workers: Optional[int] = None,
     heartbeat: Optional[float] = None,
     on_worker_death: Optional[str] = None,
-    ring_bytes: Optional[int] = None,
 ):
     """Build the backend for a CLI/config name.
 
@@ -39,10 +37,9 @@ def make_backend(
     before is the cheapest possible determinism argument.
 
     ``heartbeat`` and ``on_worker_death`` tune the process backend's
-    liveness detection and ``ring_bytes`` its per-pair reply-ring
-    capacity (``None`` keeps the backend defaults); the inline backend
-    has no worker processes to watch, so they are silently ignored
-    there.
+    liveness detection (``None`` keeps the backend defaults); the
+    inline backend has no worker processes to watch, so they are
+    silently ignored there.
     """
     if name == "inline":
         return None
@@ -52,8 +49,6 @@ def make_backend(
             kwargs["heartbeat"] = heartbeat
         if on_worker_death is not None:
             kwargs["on_worker_death"] = on_worker_death
-        if ring_bytes is not None:
-            kwargs["ring_bytes"] = ring_bytes
         return ProcessBackend(workers=workers, **kwargs)
     raise ConfigurationError(
         f"unknown execution backend {name!r}; expected one of {BACKENDS}"

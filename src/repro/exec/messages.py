@@ -1,54 +1,28 @@
-"""Wire types of the process backend's fetch protocol.
+"""Control-plane types of the process backend.
 
-Requests are **coalesced**: the requester groups one chunk's pending
-circulant batches by *server worker* (not per embedding, not even per
-server machine) and ships each group as one
-:class:`CoalescedFetchRequest` carrying per-machine vertex segments —
-one inbox message amortizes the queue/pickle overhead over every fetch
-the chunk needs from that worker. The transport may split a very large
-group into several consecutive requests so each reply frame fits its
-shared-memory ring (see :mod:`repro.exec.transport`).
-
-Replies do not travel as pickled messages at all: the responder writes
-the concatenated edge lists as a raw frame into the (server worker,
-requester worker) shared-memory ring (:mod:`repro.exec.ring`). Only
-oversized payloads fall back to a pickled queue, announced in-band by
-a marker frame so ring order is preserved.
-
-Ordering contract (what makes one ring per worker pair enough): a
-worker runs one scheduler at a time, so its requests to any given
-server worker are posted in the order it will await them, the inbox is
-FIFO, and the responder serves it single-threaded — reply frames
-therefore land on the pair ring in exactly the awaited order. The
-transport still validates every frame against the awaited (kind,
-element count) pair and fails loudly on a protocol violation.
+The backend has no data plane: every worker maps the whole graph (a
+shared-memory segment or a ``.kcsr`` store) and EXTEND reads it
+directly, while the simulated wire cost comes from the cluster's
+``NetworkModel`` — so no edge list ever travels between processes.
+What remains is control traffic: workers post tagged results to one
+shared result queue, and (under ``--on-worker-death recover``) the
+parent hands survivors replay work over per-worker control queues.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-
-import numpy as np
-
-#: Inbox sentinel: the parent posts one per worker once every worker's
-#: results are in; the responder thread exits on receipt.
-SHUTDOWN = "__exec_shutdown__"
+from typing import Optional
 
 # ---------------------------------------------------------------------
 # result-queue message kinds: every message a worker posts to the
 # parent is a (kind, worker_id, payload) triple with one of these tags
 # ---------------------------------------------------------------------
-#: compute finished — payload carries counts/report/udf/obs/stats
+#: compute finished — payload carries counts/report/udf/obs
 RESULT = "result"
-#: responder drained after SHUTDOWN — payload carries responder stats
-STATS = "stats"
 #: unexpected failure — payload is the formatted traceback text
 ERROR = "error"
-#: a bounded transport wait found its serving peer dead — payload is
-#: ``{"peer": worker_id, "message": str}``; the parent treats the
-#: sender as lost (its compute aborted) and applies the
-#: ``on_worker_death`` policy
-PEER_DEAD = "peer_dead"
 #: completed-root-chunk delta — payload is ``(pattern, machine, roots,
 #: matches)`` with the *absolute* cursor. Workers ship one per root
 #: chunk so the parent always knows the fleet's progress: with a
@@ -63,7 +37,7 @@ RECOVERY = "recovery"
 # ---------------------------------------------------------------------
 # control-queue messages (parent -> worker, after the worker's RESULT)
 # ---------------------------------------------------------------------
-#: no (more) recovery work: leave the control loop, await SHUTDOWN
+#: no (more) recovery work: leave the control loop and exit
 DONE = "__exec_done__"
 
 
@@ -83,26 +57,26 @@ class RecoverAssignment:
     resume: dict
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One server machine's share of a coalesced request."""
+@dataclass
+class Endpoints:
+    """What the parent shares with every worker of one run.
 
-    server_machine: int
-    #: vertex ids whose edge lists are requested, in batch order
-    vertices: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoalescedFetchRequest:
-    """One chunk's edge-list demand on one server worker (possibly one
-    split of it), addressed to that worker's inbox.
-
-    The responder serves every segment with a single bulk adjacency
-    gather and answers with exactly one reply frame on the
-    ``(server worker, requester worker)`` ring: the segments'
-    edge lists concatenated in segment order.
+    ``stop`` is the fleet-wide teardown signal; ``controls[w]`` is
+    worker ``w``'s control queue (``None`` unless the run recovers
+    lost workers); ``parent_pid`` lets a worker notice that the parent
+    was SIGKILLed and init adopted it, so an orphan exits within a
+    bounded wait instead of waiting on a queue nobody will ever feed.
     """
 
-    requester_worker: int
-    #: per-machine vertex batches, in the requester's circulant order
-    segments: tuple[Segment, ...]
+    stop: object
+    controls: Optional[list] = None
+    parent_pid: Optional[int] = None
+
+    def stopping(self) -> bool:
+        if self.stop.is_set():
+            return True
+        return (
+            self.parent_pid is not None
+            and os.getpid() != self.parent_pid
+            and os.getppid() != self.parent_pid
+        )

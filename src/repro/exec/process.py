@@ -4,34 +4,28 @@ Execution plan (docs/execution.md):
 
 1. Export the graph's CSR arrays into shared memory once
    (:mod:`repro.graph.csr`) — workers map them zero-copy.
-2. Build the transport fabric (per-worker request inboxes, one
-   shared-memory reply *ring* per ordered worker pair plus a pickled
-   fallback queue per requester, per-worker death notices, a fleet
-   stop event) and spawn ``workers`` processes, each running
+2. Spawn ``workers`` processes, each running
    :func:`repro.exec.worker.worker_main`: the unmodified inline
-   scheduler loop over the machines it hosts (``m % workers``), with
-   each chunk's edge-list demand coalesced per server worker and its
-   replies streaming back as raw ring frames while earlier batches
-   compute (docs/execution.md describes the ring protocol).
+   scheduler loop over the machines it hosts (``m % workers``). There
+   is no data plane: every worker maps the whole graph, EXTEND reads
+   it directly, and the simulated wire cost of each fetch comes from
+   the cluster's ``NetworkModel`` — so no worker ever waits on a peer.
 3. Collect per-worker results while *watching worker liveness*: every
    ``heartbeat`` seconds without a message, the parent sweeps worker
-   exit codes; a dead or silent worker is marked lost, its death
-   notice is published to the fleet (so peers blocked on its replies
-   abort within a bounded wait instead of deadlocking), and the
-   ``on_worker_death`` policy applies — ``fail`` returns a structured
-   ``CRASHED`` report immediately, ``recover`` *redistributes* the
-   lost workers' machines across the surviving workers (each survivor
-   replays its share against the shared graph, resuming past the
-   chunks the dead worker's shipped checkpoint deltas already cover)
-   and reports ``RECOVERED`` with complete counts. The parent replays
-   inline only machines no survivor could cover (survivor died
-   mid-recovery, or no survivors at all).
-4. Broadcast the shutdown sentinel (a worker's responder must outlive
-   its own compute — other workers may still fetch from it), collect
-   responder stats, and join. Shared-memory segments are unlinked on
-   every exit path — including SIGINT/SIGTERM and interpreter exit,
-   via chained signal handlers and an ``atexit`` hook registered for
-   the duration of the run.
+   exit codes; a dead or silent worker is marked lost. Once every
+   worker has reported or been lost, the ``on_worker_death`` policy
+   applies — ``fail`` returns a structured ``CRASHED`` report,
+   ``recover`` *redistributes* the lost workers' machines across the
+   surviving workers (each survivor replays its share against the
+   shared graph, resuming past the chunks the dead worker's shipped
+   checkpoint deltas already cover) and reports ``RECOVERED`` with
+   complete counts. The parent replays inline only machines no
+   survivor could cover (survivor died mid-recovery, or no survivors
+   at all).
+4. Release the survivors and join them. Shared-memory segments are
+   unlinked on every exit path — including SIGINT/SIGTERM and
+   interpreter exit, via chained signal handlers and an ``atexit``
+   hook registered for the duration of the run.
 
 Durability (docs/faults.md): workers ship one ``CKPT`` delta per
 completed root chunk — the parent's in-memory progress ledger feeds
@@ -48,14 +42,12 @@ names lets a resumed run reap segments leaked by a SIGKILLed parent.
    ``exec.*`` metrics are emitted on top.
 
 Determinism: a machine's scheduler sees the same graph, roots, and
-configuration regardless of which process hosts it, and the transport
-never alters simulated accounting — so counts are bit-identical to the
-inline backend at any worker count (the invariant
+configuration regardless of which process hosts it — so counts are
+bit-identical to the inline backend at any worker count (the invariant
 ``tests/test_exec.py`` pins down). This is also what makes worker-death
-recovery exact: re-executing a lost worker's hosted machines inline
+recovery exact: re-executing a lost worker's hosted machines
 reproduces precisely the results the worker would have returned.
-Wall-clock ``exec.*`` readings (and ``net.peer_timeouts``) are the
-only nondeterministic outputs.
+Wall-clock ``exec.*`` readings are the only nondeterministic outputs.
 
 Not supported here (raise :class:`~repro.errors.ConfigurationError`
 up front): fault plans (injected crash recovery reassigns roots across
@@ -83,18 +75,10 @@ from repro.exec.messages import (
     CKPT,
     DONE,
     ERROR,
-    PEER_DEAD,
     RECOVERY,
     RESULT,
-    SHUTDOWN,
-    STATS,
-    RecoverAssignment,
-)
-from repro.exec.ring import create_ring
-from repro.exec.transport import (
     Endpoints,
-    zero_requester_stats,
-    zero_responder_stats,
+    RecoverAssignment,
 )
 from repro.exec.janitor import install_janitor, remove_janitor
 from repro.exec.worker import worker_main
@@ -116,11 +100,6 @@ _CLOCK_KEYS = ("compute", "scheduler", "cache", "network")
 #: the two worker-death policies ``--on-worker-death`` accepts
 DEATH_POLICIES = ("fail", "recover")
 
-#: default per-pair reply-ring capacity (data bytes); 1 MiB holds a
-#: full adaptive budget of frames per pair while keeping a 4-worker
-#: fabric's shared-memory footprint around a dozen MiB
-RING_BYTES = 1 << 20
-
 
 class _CollectTimeout(Exception):
     """The wall-clock collection budget expired (converted to a
@@ -133,15 +112,8 @@ class _FleetState:
 
     #: sweeps of worker exit codes the parent performed
     heartbeat_checks: int = 0
-    #: bounded-wait expirations reported by workers that aborted on a
-    #: dead peer (their requester stats never arrive)
-    peer_timeout_messages: int = 0
     #: worker_id -> human-readable death reason
     deaths: dict = field(default_factory=dict)
-    #: workers that aborted on a dead peer (PEER_DEAD): their compute
-    #: is lost like a death, but the *process* is alive in its control
-    #: loop — a valid target for redistributed replays
-    aborted: set = field(default_factory=set)
     #: lost workers whose hosted machines were replayed (on survivors
     #: or inline)
     reexecuted: set = field(default_factory=set)
@@ -167,7 +139,6 @@ class ProcessBackend(Backend):
         timeout: float = 600.0,
         heartbeat: float = 1.0,
         on_worker_death: str = "fail",
-        ring_bytes: int = RING_BYTES,
     ):
         #: worker-process count; None = one per simulated machine,
         #: always clamped to the machine count (a machine's scheduler
@@ -188,20 +159,15 @@ class ProcessBackend(Backend):
             raise ConfigurationError("heartbeat must be positive")
         self.heartbeat = heartbeat
         #: what to do when a worker process dies mid-run: ``fail``
-        #: returns a partial CRASHED report immediately; ``recover``
-        #: re-executes the lost workers' hosted machines through the
-        #: deterministic inline path (counts stay exact)
+        #: returns a partial CRASHED report once the survivors have
+        #: reported; ``recover`` replays the lost workers' hosted
+        #: machines on the survivors (counts stay exact)
         if on_worker_death not in DEATH_POLICIES:
             raise ConfigurationError(
                 f"on_worker_death must be one of {DEATH_POLICIES}, "
                 f"got {on_worker_death!r}"
             )
         self.on_worker_death = on_worker_death
-        #: capacity of each (server, requester) shared-memory reply
-        #: ring; replies that cannot fit take the pickled fallback path
-        if ring_bytes < 1024:
-            raise ConfigurationError("ring_bytes must be at least 1KiB")
-        self.ring_bytes = ring_bytes
 
     # ------------------------------------------------------------------
     def execute(self, engine, schedules, udf, system, app, graph_name):
@@ -261,17 +227,11 @@ class ProcessBackend(Backend):
         processes = []
         result_queue = None
         endpoints = None
-        rings = {}
         fleet = _FleetState()
 
         def unlink_segments():
-            # idempotent: every unlink below tolerates a repeat call,
-            # so the signal/atexit hooks and the finally block may race
-            for ring in list(rings.values()):
-                try:
-                    ring.unlink()
-                except Exception:  # pragma: no cover - best effort
-                    pass
+            # idempotent: the signal/atexit hooks and the finally block
+            # may race, and a repeated unlink is tolerated
             try:
                 shared.unlink()
             except Exception:  # pragma: no cover - best effort
@@ -280,28 +240,10 @@ class ProcessBackend(Backend):
         previous_handlers = install_janitor(unlink_segments)
         try:
             result_queue = context.Queue()
-            # one shared-memory reply ring per ordered worker pair
-            # (same-worker fetches take the transport's local fast
-            # path, so self-pairs never exist); the parent owns the
-            # segments and is the only side that unlinks them
-            rings = {
-                (server, requester): create_ring(self.ring_bytes)
-                for server in range(workers)
-                for requester in range(workers)
-                if server != requester
-            }
             if session is not None:
                 durability.write_shm_names(
-                    config.checkpoint_dir,
-                    shared.handle.segment_names()
-                    + [ring.handle.name for ring in rings.values()],
-                )
+                    config.checkpoint_dir, shared.handle.segment_names())
             endpoints = Endpoints(
-                num_workers=workers,
-                inboxes=[context.Queue() for _ in range(workers)],
-                rings={pair: ring.handle for pair, ring in rings.items()},
-                fallbacks=[context.Queue() for _ in range(workers)],
-                deaths=[context.Event() for _ in range(workers)],
                 stop=context.Event(),
                 controls=(
                     [context.Queue() for _ in range(workers)]
@@ -323,11 +265,12 @@ class ProcessBackend(Backend):
                 process.start()
 
             try:
+                # no worker waits on a peer, so the survivors of a death
+                # still finish and report; collection ends once every
+                # worker has reported or been marked lost
                 results = self._collect(
-                    result_queue, processes, endpoints,
-                    set(range(workers)), RESULT, fleet,
-                    fail_fast=(self.on_worker_death == "fail"),
-                    ckpt=on_ckpt,
+                    result_queue, processes, set(range(workers)), RESULT,
+                    fleet, ckpt=on_ckpt,
                 )
             except _CollectTimeout as exc:
                 return self._failed_report(
@@ -339,7 +282,7 @@ class ProcessBackend(Backend):
                 return self._failed_report(
                     engine, system, app, graph_name, len(schedules),
                     workers, perf_counter() - started, fleet,
-                    Outcome.CRASHED, None,
+                    Outcome.CRASHED, None, reported=sorted(results),
                 )
             entries = [
                 {**payload, "worker_id": worker_id, "kind": "result"}
@@ -353,15 +296,11 @@ class ProcessBackend(Backend):
                 # ledger (the dead workers' shipped deltas) lets each
                 # replay skip already-completed chunks
                 fleet.reexecuted = set(lost)
-                # replay targets: workers that returned a result, plus
-                # aborted-on-a-dead-peer workers — their compute died
-                # but the process is alive in its control loop
-                survivors = sorted(set(results) | fleet.aborted)
                 try:
                     recovery_entries, redistribution = self._redistribute(
                         result_queue, processes, endpoints, engine,
                         schedules, udf, system, app, graph_name, lost,
-                        survivors, workers, machines, fleet,
+                        sorted(results), workers, machines, fleet,
                         progress, on_ckpt,
                     )
                 except _CollectTimeout as exc:
@@ -371,33 +310,15 @@ class ProcessBackend(Backend):
                         Outcome.TIMEOUT, str(exc),
                     )
                 entries.extend(recovery_entries)
-            # release survivors from their control loops before the
-            # shutdown sentinel so responders drain in order
+            # release the survivors from their control loops
             if endpoints.controls is not None:
                 for control in endpoints.controls:
                     control.put(DONE)
-            for inbox in endpoints.inboxes:
-                inbox.put(SHUTDOWN)
-            try:
-                stats = self._collect(
-                    result_queue, processes, endpoints,
-                    set(results) - set(fleet.deaths), STATS, fleet,
-                    fail_fast=False, ckpt=on_ckpt,
-                )
-            except _CollectTimeout as exc:
-                return self._failed_report(
-                    engine, system, app, graph_name, len(schedules),
-                    workers, perf_counter() - started, fleet,
-                    Outcome.TIMEOUT, str(exc),
-                )
-            for worker_id in range(workers):
-                stats.setdefault(worker_id, zero_responder_stats())
         finally:
             # teardown runs on every path: publish the stop signal so
-            # bounded transport waits abort, unblock feeder threads by
+            # control-loop waits end, unblock feeder threads by
             # draining the result queue, then reap (or terminate) the
-            # fleet and unlink the shared-memory segments (graph CSR
-            # and reply rings alike — the parent owns both)
+            # fleet and unlink the shared-memory graph
             if endpoints is not None:
                 endpoints.stop.set()
             self._drain(result_queue)
@@ -415,7 +336,7 @@ class ProcessBackend(Backend):
         wall = perf_counter() - started
         counts, report = self._merge(
             engine, udf, system, app, graph_name, len(schedules),
-            workers, entries, stats, wall, fleet, redistribution)
+            workers, entries, wall, fleet, redistribution)
         if session is not None:
             session.finalize()
             report.extra["checkpoint"] = session.stats()
@@ -457,17 +378,15 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------
     # collection with liveness detection
     # ------------------------------------------------------------------
-    def _collect(self, result_queue, processes, endpoints, pending, tag,
-                 fleet, fail_fast, ckpt=None) -> dict:
+    def _collect(self, result_queue, processes, pending, tag, fleet,
+                 ckpt=None) -> dict:
         """Gather one tagged message per pending worker.
 
         Every queue wait is bounded by ``heartbeat``; each expiry
         sweeps worker exit codes, so a dead worker is *marked lost*
-        (death notice published to its peers) within about two
-        heartbeats instead of stalling until the full ``timeout``.
-        With ``fail_fast`` the first death ends collection immediately;
-        otherwise collection continues until every pending worker has
-        either reported or been marked lost.
+        within about two heartbeats instead of stalling until the full
+        ``timeout``. Collection continues until every pending worker
+        has either reported or been marked lost.
 
         ``ckpt`` consumes checkpoint deltas *before* the pending
         filter: a dying worker's last shipped cursors are exactly what
@@ -491,9 +410,7 @@ class ProcessBackend(Backend):
                     timeout=min(self.heartbeat, max(0.01, remaining))
                 )
             except queue_mod.Empty:
-                self._sweep(processes, endpoints, pending, fleet, suspects)
-                if fail_fast and fleet.deaths:
-                    break
+                self._sweep(processes, pending, fleet, suspects)
                 continue
             kind, worker_id, payload = message
             if kind == CKPT:
@@ -503,15 +420,8 @@ class ProcessBackend(Backend):
             if worker_id not in pending:
                 continue  # late message from a worker already marked lost
             if kind == ERROR:
-                self._mark_lost(endpoints, pending, fleet, worker_id,
+                self._mark_lost(pending, fleet, worker_id,
                                 _error_reason(payload))
-            elif kind == PEER_DEAD:
-                fleet.peer_timeout_messages += max(
-                    1, int(payload.get("liveness_timeouts", 0))
-                )
-                fleet.aborted.add(worker_id)
-                self._mark_lost(endpoints, pending, fleet, worker_id,
-                                payload["message"])
             elif kind == tag:
                 collected[worker_id] = payload
                 pending.discard(worker_id)
@@ -521,12 +431,9 @@ class ProcessBackend(Backend):
                     f"protocol violation: got {kind!r} while awaiting "
                     f"{tag!r}"
                 )
-            if fail_fast and fleet.deaths:
-                break
         return collected
 
-    def _sweep(self, processes, endpoints, pending, fleet,
-               suspects) -> None:
+    def _sweep(self, processes, pending, fleet, suspects) -> None:
         """One liveness pass over the pending workers' exit codes."""
         fleet.heartbeat_checks += 1
         now = perf_counter()
@@ -547,16 +454,12 @@ class ProcessBackend(Backend):
                 reason = f"exited with code {exitcode} before reporting"
             else:
                 reason = f"killed by signal {-exitcode} before reporting"
-            self._mark_lost(endpoints, pending, fleet, worker_id, reason)
+            self._mark_lost(pending, fleet, worker_id, reason)
 
     @staticmethod
-    def _mark_lost(endpoints, pending, fleet, worker_id, reason) -> None:
-        """Record a death and publish the notice to the fleet, so peers
-        blocked on the dead worker's replies abort their bounded waits."""
+    def _mark_lost(pending, fleet, worker_id, reason) -> None:
         fleet.deaths[worker_id] = reason
         pending.discard(worker_id)
-        if endpoints.deaths is not None:
-            endpoints.deaths[worker_id].set()
 
     @staticmethod
     def _drain(result_queue) -> None:
@@ -611,8 +514,8 @@ class ProcessBackend(Backend):
         recoveries: dict[int, dict] = {}
         if assignment:
             recoveries = self._collect(
-                result_queue, processes, endpoints, set(assignment),
-                RECOVERY, fleet, fail_fast=False, ckpt=ckpt,
+                result_queue, processes, set(assignment), RECOVERY,
+                fleet, ckpt=ckpt,
             )
         entries = [
             {**payload, "worker_id": worker_id, "kind": "recovery"}
@@ -667,15 +570,13 @@ class ProcessBackend(Backend):
         replay_started = perf_counter()
         counts, report = recovery_engine.execute_hosted(
             schedules, udf_copy, system, app, graph_name,
-            hosted=hosted, transport=None,
-            checkpoint_sink=ckpt, resume=resume or None,
+            hosted=hosted, checkpoint_sink=ckpt, resume=resume or None,
         )
         payload = {
             "counts": counts,
             "report": report,
             "udf": udf_copy,
             "busy_seconds": perf_counter() - replay_started,
-            "requester": zero_requester_stats(),
             "obs": None,
             "worker_id": None,
             "kind": "inline",
@@ -710,7 +611,7 @@ class ProcessBackend(Backend):
 
     def _failed_report(self, engine, system, app, graph_name,
                        num_schedules, workers, wall, fleet, outcome,
-                       message) -> tuple[list[int], RunReport]:
+                       message, reported=()) -> tuple[list[int], RunReport]:
         machines = engine.cluster.num_machines
         events = self._death_events(fleet, workers, machines)
         if outcome is Outcome.CRASHED:
@@ -722,23 +623,20 @@ class ProcessBackend(Backend):
             system=system, app=app, graph_name=graph_name, counts=None,
             simulated_seconds=0.0, num_machines=machines, failure=failure,
         )
-        report.extra["exec"] = self._exec_extra(
-            workers, wall, fleet, peer_timeouts=fleet.peer_timeout_messages,
-            events=events,
-        )
+        report.extra["exec"] = {
+            **self._exec_extra(workers, wall, fleet, events),
+            "reported_workers": list(reported),
+        }
         obs = engine.obs
         if obs.enabled:
             scope = obs.registry.scope()
             scope.gauge(names.EXEC_WORKERS).set(workers)
             scope.gauge(names.EXEC_WALL_SECONDS).set(wall)
-            self._emit_liveness_metrics(
-                scope, fleet, fleet.peer_timeout_messages
-            )
+            self._emit_liveness_metrics(scope, fleet)
             report.extra["obs"] = obs.summary()
         return [0] * num_schedules, report
 
-    def _exec_extra(self, workers, wall, fleet, peer_timeouts,
-                    events) -> dict:
+    def _exec_extra(self, workers, wall, fleet, events) -> dict:
         extra = {
             "backend": self.name,
             "workers": workers,
@@ -747,23 +645,21 @@ class ProcessBackend(Backend):
             "heartbeat_checks": fleet.heartbeat_checks,
             "on_worker_death": self.on_worker_death,
             "worker_deaths": len(fleet.deaths),
-            "peer_timeouts": peer_timeouts,
         }
         if events:
             extra["worker_death_events"] = events
         return extra
 
-    def _emit_liveness_metrics(self, scope, fleet, peer_timeouts) -> None:
+    def _emit_liveness_metrics(self, scope, fleet) -> None:
         scope.gauge(names.EXEC_HEARTBEAT_INTERVAL).set(self.heartbeat)
         scope.counter(names.EXEC_HEARTBEAT_CHECKS).inc(
             fleet.heartbeat_checks
         )
         scope.counter(names.EXEC_WORKER_DEATHS).inc(len(fleet.deaths))
-        scope.counter(names.NET_PEER_TIMEOUTS).inc(peer_timeouts)
 
     # ------------------------------------------------------------------
     def _merge(self, engine, udf, system, app, graph_name, num_schedules,
-               workers, entries, stats, wall, fleet,
+               workers, entries, wall, fleet,
                redistribution=None) -> tuple[list[int], RunReport]:
         """Fold the run's entries — per-worker results plus any
         redistribution replays (machine-disjoint by construction) —
@@ -780,9 +676,10 @@ class ProcessBackend(Backend):
         cost = engine.cluster.cost
 
         # machine finish times need cross-worker data: machine j's clock
-        # buckets come from its host worker, but its responder serve
-        # seconds accumulate in *every* worker that fetched from it —
-        # the zip-summed breakdowns hold both, so busy = max(clock, serve)
+        # buckets come from its host worker, but its simulated serve
+        # seconds accumulate in *every* worker whose machines fetched
+        # from it — the zip-summed breakdowns hold both, so
+        # busy = max(clock, serve)
         breakdowns = merged.machine_breakdowns
         machine_seconds = [
             max(
@@ -865,68 +762,16 @@ class ProcessBackend(Backend):
             ),
         }
 
-        # per-worker wall-clock lists: recovery replays accrue to the
+        # per-worker busy seconds: recovery replays accrue to the
         # survivor that ran them; the parent's own inline fallback
         # (worker_id None) is reported via the redistribution extra
         busy = [0.0] * workers
-        wait = [0.0] * workers
         for entry in ordered:
-            worker_id = entry.get("worker_id")
-            if worker_id is None:
-                continue
-            busy[worker_id] += entry["busy_seconds"]
-            wait[worker_id] += entry["requester"]["wait_seconds"]
-        requesters = [entry["requester"] for entry in ordered]
-        responders = [stats[worker_id] for worker_id in range(workers)]
-        messages = sum(r["messages"] for r in requesters)
-        peer_timeouts = fleet.peer_timeout_messages + sum(
-            int(r.get("liveness_timeouts", 0)) for r in requesters
-        )
-        shipped = sum(s["served_bytes"] for s in responders)
-        depth = self._merge_depth([s["queue_depth"] for s in responders])
-        occupancy = self._merge_depth(
-            [s["ring_occupancy"] for s in responders]
-        )
-        coalesced_batch = self._merge_depth(
-            [r["coalesced_batch"] for r in requesters]
-        )
-        fallbacks = sum(s["fallbacks_served"] for s in responders)
-        ring_wait = sum(s["ring_wait_seconds"] for s in responders)
-        local_requests = sum(r["local_requests"] for r in requesters)
-        adaptive = [0] * workers
-        for entry in ordered:
-            if entry["kind"] == "result":
-                adaptive[entry["worker_id"]] = (
-                    entry["requester"]["adaptive_chunk_bytes"]
-                )
+            if entry.get("worker_id") is not None:
+                busy[entry["worker_id"]] += entry["busy_seconds"]
         merged.extra["exec"] = {
-            **self._exec_extra(workers, wall, fleet,
-                               peer_timeouts=peer_timeouts,
-                               events=death_events),
+            **self._exec_extra(workers, wall, fleet, death_events),
             "worker_busy_seconds": busy,
-            "worker_wait_seconds": wait,
-            "messages": messages,
-            "bytes_shipped": shipped,
-            "queue_depth": {
-                "count": depth[0], "total": depth[1],
-                "min": depth[2], "max": depth[3],
-            },
-            "ring_bytes": self.ring_bytes,
-            "ring_fallbacks": fallbacks,
-            "ring_backpressure_seconds": ring_wait,
-            "ring_occupancy": {
-                "count": occupancy[0], "total": occupancy[1],
-                "min": occupancy[2], "max": occupancy[3],
-            },
-            "coalesced_requests": sum(
-                r["coalesced_requests"] for r in requesters
-            ),
-            "coalesced_batch_vertices": {
-                "count": coalesced_batch[0], "total": coalesced_batch[1],
-                "min": coalesced_batch[2], "max": coalesced_batch[3],
-            },
-            "local_fast_requests": local_requests,
-            "adaptive_chunk_bytes": adaptive,
         }
         if redistribution is not None:
             merged.extra["exec"]["redistribution"] = redistribution
@@ -938,11 +783,7 @@ class ProcessBackend(Backend):
                 if dump is not None:
                     obs.registry.absorb(dump["metrics"])
                     obs.tracer.absorb(dump["spans"], dump["dropped"])
-            self._emit_exec_metrics(obs, workers, wall, busy, wait,
-                                    messages, shipped, depth, fleet,
-                                    peer_timeouts, requesters,
-                                    occupancy, coalesced_batch,
-                                    fallbacks, local_requests, adaptive,
+            self._emit_exec_metrics(obs, workers, wall, busy, fleet,
                                     redistribution)
             summary = obs.summary()
             summary["network"] = {
@@ -961,58 +802,17 @@ class ProcessBackend(Backend):
             merged.extra["obs"] = summary
         return counts, merged
 
-    @staticmethod
-    def _merge_depth(summaries) -> tuple[int, float, float, float]:
-        count = sum(s[0] for s in summaries)
-        if not count:
-            return (0, 0.0, 0.0, 0.0)
-        present = [s for s in summaries if s[0]]
-        return (
-            count,
-            sum(s[1] for s in present),
-            min(s[2] for s in present),
-            max(s[3] for s in present),
-        )
-
-    def _emit_exec_metrics(self, obs, workers, wall, busy, wait,
-                           messages, shipped, depth, fleet,
-                           peer_timeouts, requesters, occupancy,
-                           coalesced_batch, fallbacks, local_requests,
-                           adaptive, redistribution=None) -> None:
+    def _emit_exec_metrics(self, obs, workers, wall, busy, fleet,
+                           redistribution=None) -> None:
         scope = obs.registry.scope()
         scope.gauge(names.EXEC_WORKERS).set(workers)
         scope.gauge(names.EXEC_WALL_SECONDS).set(wall)
-        for worker_id, (busy_s, wait_s) in enumerate(zip(busy, wait)):
+        for worker_id, busy_s in enumerate(busy):
             scope.counter(
                 names.EXEC_WORKER_BUSY_SECONDS, worker=worker_id
             ).inc(busy_s)
-            scope.counter(
-                names.EXEC_WORKER_WAIT_SECONDS, worker=worker_id
-            ).inc(wait_s)
-        scope.counter(names.EXEC_MESSAGES).inc(messages)
-        scope.counter(names.EXEC_BYTES_SHIPPED).inc(shipped)
-        if depth[0]:
-            scope.histogram(names.EXEC_QUEUE_DEPTH).merge_summary(*depth)
-        scope.gauge(names.EXEC_RING_CAPACITY).set(self.ring_bytes)
-        if occupancy[0]:
-            scope.histogram(
-                names.EXEC_RING_OCCUPANCY
-            ).merge_summary(*occupancy)
-        scope.counter(names.EXEC_RING_FALLBACKS).inc(fallbacks)
-        scope.counter(names.EXEC_LOCAL_FAST_REQUESTS).inc(local_requests)
-        scope.counter(names.NET_COALESCED_REQUESTS).inc(
-            sum(r["coalesced_requests"] for r in requesters)
-        )
-        if coalesced_batch[0]:
-            scope.histogram(
-                names.NET_COALESCED_BATCH_VERTICES
-            ).merge_summary(*coalesced_batch)
-        for worker_id, chunk_bytes in enumerate(adaptive):
-            scope.gauge(
-                names.EXEC_ADAPTIVE_CHUNK_BYTES, worker=worker_id
-            ).set(chunk_bytes)
         if redistribution is not None:
             scope.counter(names.RECOVERY_REDISTRIBUTED_MACHINES).inc(
                 redistribution["machines"]
             )
-        self._emit_liveness_metrics(scope, fleet, peer_timeouts)
+        self._emit_liveness_metrics(scope, fleet)

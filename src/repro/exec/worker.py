@@ -1,28 +1,22 @@
 """Worker-process entry point of the process backend.
 
-Each worker attaches the shared-memory graph, rebuilds its own
-deterministic view of the cluster (hash partitioning is pure, so every
-worker computes identical partitions), and runs the *unmodified*
-inline execution path — restricted to the machines it hosts (machine
-``m`` lives on worker ``m % num_workers``) and with the queue
-transport plugged into the scheduler's circulant loop. Reusing the
-engine's hosted entry point wholesale is the determinism argument in
-code form: there is no second scheduler implementation that could
-drift from the simulated one.
+Each worker attaches the shared graph, rebuilds its own deterministic
+view of the cluster (hash partitioning is pure, so every worker
+computes identical partitions), and runs the *unmodified* inline
+execution path restricted to the machines it hosts (machine ``m``
+lives on worker ``m % num_workers``). Every worker maps the whole
+graph, so EXTEND reads remote machines' edge lists directly and a
+worker never waits on a peer; the simulated network cost of those
+fetches is charged by the cluster's ``NetworkModel`` exactly as on the
+inline path. Reusing the engine's hosted entry point wholesale is the
+determinism argument in code form: there is no second scheduler
+implementation that could drift from the simulated one.
 
 Result protocol on the shared result queue (tag, worker_id, payload):
 
 - ``(RESULT, w, {...})`` — counts, partial report, udf copy,
-  observability dump, requester-side transport stats. Posted when the
-  worker's compute loop finishes.
-- ``(STATS, w, {...})`` — responder-side transport stats. Posted
-  after the shutdown sentinel, because the responder keeps serving
-  other workers until every worker is done.
-- ``(PEER_DEAD, w, {...})`` — a bounded transport wait found its
-  serving peer dead (the parent's death notice was set); this worker's
-  compute is lost and the parent applies its ``on_worker_death``
-  policy. The process itself stays alive and enters the control loop,
-  so the recover policy can hand it replay work.
+  observability dump, busy seconds. Posted when the worker's compute
+  loop finishes.
 - ``(CKPT, w, (pattern, machine, roots, matches))`` — one per
   completed root chunk, carrying the absolute cursor. The parent's
   progress ledger is built from these (durable log and/or
@@ -34,16 +28,13 @@ Result protocol on the shared result queue (tag, worker_id, payload):
   inline path already converts them into a structured
   ``FailureSummary`` on the partial report.
 
-After its RESULT a worker enters a control loop (when the fabric has
-control queues): the parent may hand it ``RecoverAssignment`` work —
-replay a dead peer's machines against the shared graph with the
-transport disabled (every worker maps the full graph, so no fetches
-are needed) — until the DONE sentinel releases it to drain the
-responder and post STATS.
+After its RESULT a worker either exits, or — when the run recovers
+lost workers — enters a control loop: the parent may hand it
+``RecoverAssignment`` work (replay a dead peer's machines against the
+shared graph) until the DONE sentinel releases it.
 
-Every exit path closes the shared-memory mapping and stops the
-responder thread; the parent is the only side that ever unlinks the
-segments.
+Every exit path closes the shared-memory mapping; the parent is the
+only side that ever unlinks the segments.
 """
 
 from __future__ import annotations
@@ -57,24 +48,20 @@ from time import perf_counter
 
 from repro.cluster.cluster import Cluster
 from repro.core.engine import KhuzdulEngine
-from repro.errors import PeerDeadError
 from repro.exec.messages import (
     CKPT,
     DONE,
     ERROR,
-    PEER_DEAD,
     RECOVERY,
     RESULT,
-    STATS,
     RecoverAssignment,
-)
-from repro.exec.transport import (
-    LIVENESS_INTERVAL_SECONDS,
-    WorkerTransport,
-    zero_requester_stats,
 )
 from repro.graph.csr import attach_csr
 from repro.obs import Observability
+
+#: longest single wait of the control loop between re-checks of the
+#: fleet stop signal and the parent's liveness
+LIVENESS_INTERVAL_SECONDS = 1.0
 
 #: chaos-injection contract (benchmarks/chaos.py): a worker whose id
 #: matches ``REPRO_CHAOS=worker-kill:<wid>:<n>`` SIGKILLs itself after
@@ -138,7 +125,6 @@ def worker_main(
     resume=None,
 ) -> None:
     system, app, graph_name = job
-    transport = None
     try:
         shared = attach_csr(handle)
     except BaseException:
@@ -151,67 +137,36 @@ def worker_main(
         cluster = Cluster(shared.graph, cluster_config)
         obs = Observability() if obs_enabled else None
         engine = KhuzdulEngine(cluster, engine_config, obs=obs)
-        transport = WorkerTransport(worker_id, endpoints, shared.graph)
-        transport.start()
         hosted = {
             machine for machine in range(cluster.num_machines)
             if machine % num_workers == worker_id
         }
         sink = _DeltaSink(worker_id, result_queue)
         started = perf_counter()
-        try:
-            counts, report = engine.execute_hosted(
-                schedules, udf, system, app, graph_name,
-                hosted=hosted, transport=transport,
-                checkpoint_sink=sink,
-                resume={
-                    key: value for key, value in resume.items()
-                    if key[1] in hosted
-                } if resume else None,
-            )
-        except PeerDeadError as exc:
-            # this worker's own compute is lost, but the *process* is
-            # healthy: report the abort and stay available — under the
-            # recover policy the parent may hand this worker replay
-            # work (possibly its own machines, resumed from the deltas
-            # it already shipped) through the control loop below
-            result_queue.put((PEER_DEAD, worker_id, {
-                "peer": exc.peer_worker,
-                "message": str(exc),
-                "liveness_timeouts": transport.liveness_timeouts,
-            }))
-        else:
-            elapsed = perf_counter() - started
-            payload = {
-                "counts": counts,
-                "report": report,
-                "udf": udf,
-                "busy_seconds": max(
-                    0.0, elapsed - transport.wait_seconds),
-                "requester": transport.requester_stats(),
-                "obs": _obs_dump(obs),
-            }
-            result_queue.put((RESULT, worker_id, payload))
+        counts, report = engine.execute_hosted(
+            schedules, udf, system, app, graph_name,
+            hosted=hosted, checkpoint_sink=sink,
+            resume={
+                key: value for key, value in resume.items()
+                if key[1] in hosted
+            } if resume else None,
+        )
+        result_queue.put((RESULT, worker_id, {
+            "counts": counts,
+            "report": report,
+            "udf": udf,
+            "busy_seconds": perf_counter() - started,
+            "obs": _obs_dump(obs),
+        }))
         if endpoints.controls is not None:
             _control_loop(
                 worker_id, endpoints, result_queue, shared,
                 cluster_config, engine_config, schedules, pristine_udf,
                 job, obs_enabled, sink,
             )
-        # keep serving other workers until the parent says everyone is
-        # done; only then are the responder-side stats complete
-        transport.join()
-        result_queue.put((STATS, worker_id, transport.responder_stats()))
     except BaseException:
         result_queue.put((ERROR, worker_id, traceback.format_exc()))
     finally:
-        if transport is not None:
-            transport.stop()
-            # ring mappings may only be dropped once the responder
-            # thread stops writing them; its serve loop re-checks the
-            # stop request every bounded poll, so this join is bounded
-            if transport.join(timeout=5.0):
-                transport.close()
         shared.close()
 
 
@@ -261,8 +216,7 @@ def _control_loop(
         started = perf_counter()
         counts, report = engine.execute_hosted(
             schedules, replay_udf, system, app, graph_name,
-            hosted=set(message.machines), transport=None,
-            checkpoint_sink=sink,
+            hosted=set(message.machines), checkpoint_sink=sink,
             resume=dict(message.resume) if message.resume else None,
         )
         payload = {
@@ -270,7 +224,6 @@ def _control_loop(
             "report": report,
             "udf": replay_udf,
             "busy_seconds": perf_counter() - started,
-            "requester": zero_requester_stats(),
             "obs": _obs_dump(obs),
             "machines": list(message.machines),
         }

@@ -58,10 +58,9 @@ class _SegmentSpec:
 def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     """Create one shared-memory segment (creator side owns the unlink).
 
-    The generic entry point of this module's segment lifecycle: the CSR
-    export below uses it for graph arrays, and the process backend's
-    reply rings (:mod:`repro.exec.ring`) use it for fetch-reply
-    payloads — same mechanism, same creator-unlinks contract.
+    The one entry point of this module's segment lifecycle: the CSR
+    export below uses it for every graph array, under the
+    creator-unlinks contract.
 
     Names are explicit (``repro_<pid>_<nonce>``) so crash-leaked
     segments are attributable, and creation retries with jittered

@@ -14,8 +14,8 @@ bad query degrades itself, not its lane.
 attached zero-copy to the server's shared-memory CSR segment: it loops
 on its inbox, ships payloads back over the shared result queue, honors
 the shutdown sentinel, and exits on its own if the server vanishes
-(the same ``getppid`` orphan check the process backend's transport
-uses) so a SIGKILLed server never strands a serving fleet.
+(the same ``getppid`` orphan check the process backend's workers
+use) so a SIGKILLed server never strands a serving fleet.
 """
 
 from __future__ import annotations

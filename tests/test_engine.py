@@ -7,7 +7,7 @@ from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy
-from repro.errors import ConfigurationError, OutOfMemoryError, TimeoutError
+from repro.errors import ConfigurationError, OutOfMemoryError, SimTimeoutError
 from repro.graph.generators import erdos_renyi, random_labels, star_graph
 from repro.patterns import Pattern, chain, clique, cycle, star
 from repro.patterns.schedule import automine_schedule

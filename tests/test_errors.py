@@ -47,8 +47,10 @@ def test_timeout_attributes_and_message():
 
 
 def test_timeout_deprecated_alias():
-    # the old name shadowed the builtin; it stays importable as an alias
-    assert errors.TimeoutError is SimTimeoutError
+    # the old name shadowed the builtin; its deprecation alias is gone,
+    # so a bare ``except TimeoutError`` always means the builtin
+    assert not hasattr(errors, "TimeoutError")
+    assert not issubclass(SimTimeoutError, TimeoutError)
 
 
 def test_machine_crash_attributes():

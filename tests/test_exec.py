@@ -3,13 +3,14 @@
 The headline invariant under test: for any (graph, pattern, seed), the
 ``process`` backend produces *bit-identical* pattern counts to the
 ``inline`` path, at any worker count — real multiprocess execution
-changes where schedulers run and how fetches travel, never what they
-compute. Run alone via ``make exec-check``.
+changes where schedulers run, never what they compute. Run alone via
+``make exec-check``.
 """
 
+import json
 import multiprocessing
 import os
-import queue
+import signal as _signal
 import threading
 import time
 
@@ -18,15 +19,12 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.core import EngineConfig
-from repro.errors import ConfigurationError, PeerDeadError
+from repro.errors import ConfigurationError
 from repro.exec import BACKENDS, InlineBackend, ProcessBackend, make_backend
-from repro.exec.messages import SHUTDOWN
-from repro.exec.ring import RingAborted, attach_ring, create_ring
-from repro.exec.transport import AdaptiveChunker, Endpoints, WorkerTransport
 from repro.exec.worker import worker_main
 from repro.faults import FaultPlan
 from repro.graph import dataset
-from repro.graph.generators import erdos_renyi, star_graph
+from repro.graph.generators import erdos_renyi
 from repro.graph.csr import attach_csr, share_csr
 from repro.obs import Observability
 from repro.patterns import catalog
@@ -181,25 +179,21 @@ def test_metrics_merge_matches_inline():
     report = proc.count_pattern(catalog.clique(3))
 
     def counters(obs):
-        # exec.* and the transport-layer net.* names measure wall-clock
-        # execution, which only the process backend has
-        wallclock_net = {"net.peer_timeouts", "net.coalesced_requests",
-                         "net.coalesced_batch_vertices"}
+        # exec.* names measure wall-clock execution, which only the
+        # process backend has
         return {
             (name, labels): value
             for name, labels, value in obs.registry.dump()["counters"]
-            if not name.startswith("exec.") and name not in wallclock_net
+            if not name.startswith("exec.")
         }
 
     assert counters(obs_proc) == pytest.approx(counters(obs_inline))
     emitted = {name for name, _, _ in obs_proc.registry.dump()["counters"]}
-    assert "exec.messages" in emitted
-    assert "exec.bytes_shipped" in emitted
+    assert "exec.worker_busy_seconds" in emitted
     exec_extra = report.extra["exec"]
     assert exec_extra["backend"] == "process"
     assert exec_extra["wall_seconds"] > 0.0
     assert len(exec_extra["worker_busy_seconds"]) == 2
-    assert exec_extra["bytes_shipped"] > 0
 
 
 # ======================================================================
@@ -330,311 +324,116 @@ def test_worker_death_recovery_matches_inline(monkeypatch):
     _assert_no_stray_children()
 
 
-def _ring_fabric(num_workers, capacity=1 << 16, liveness=True):
-    """An in-process fabric: real shared-memory rings, thread events.
-
-    Returns (endpoints, rings); the caller must unlink the rings (the
-    parent-side duty the fixture below automates).
-    """
-    rings = {
-        (s, r): create_ring(capacity)
-        for s in range(num_workers)
-        for r in range(num_workers)
-        if s != r
-    }
-    endpoints = Endpoints(
-        num_workers=num_workers,
-        inboxes=[queue.Queue() for _ in range(num_workers)],
-        rings={pair: ring.handle for pair, ring in rings.items()},
-        fallbacks=[queue.Queue() for _ in range(num_workers)],
-        deaths=([threading.Event() for _ in range(num_workers)]
-                if liveness else None),
-        stop=threading.Event() if liveness else None,
-    )
-    return endpoints, rings
-
-
-def _unlink_all(rings, *transports):
-    for transport in transports:
-        transport.close()
-    for ring in rings.values():
-        ring.unlink()
-
-
-@exec_faults
-def test_transport_collect_aborts_on_dead_peer():
-    # a worker dying while a peer blocks on its reply ring must surface
-    # PeerDeadError within a bounded wait — never hang on the ring
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    transport = WorkerTransport(0, endpoints, graph)
-    try:
-        # the request reaches worker 1's inbox, but no responder ever
-        # serves it: its reply frame will never land on the ring
-        transport.post_chunk(0, [(1, [0, 1])])
-        endpoints.deaths[1].set()  # the parent's watcher: worker 1 died
-        started = time.monotonic()
-        with pytest.raises(PeerDeadError) as excinfo:
-            transport.collect(0, 1, [0, 1])
-        # one bounded wait, not the 300s reply budget
-        assert time.monotonic() - started < 5.0
-        assert excinfo.value.peer_worker == 1
-        assert excinfo.value.server_machine == 1
-        assert transport.liveness_timeouts >= 1
-    finally:
-        _unlink_all(rings, transport)
-
-
-@exec_faults
-def test_transport_collect_aborts_on_fleet_stop():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    transport = WorkerTransport(0, endpoints, graph)
-    try:
-        transport.post_chunk(0, [(1, [0])])
-        endpoints.stop.set()
-        with pytest.raises(PeerDeadError):
-            transport.collect(0, 1, [0])
-    finally:
-        _unlink_all(rings, transport)
-
-
-@exec_faults
-def test_transport_join_unblocks_without_shutdown():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints = Endpoints(
-        num_workers=1,
-        inboxes=[queue.Queue()],
-        fallbacks=[queue.Queue()],
-        stop=threading.Event(),
-    )
-    transport = WorkerTransport(0, endpoints, graph)
-    transport.start()
-    # SHUTDOWN never arrives (its sender "died"); the fleet stop signal
-    # alone must end the serve loop, so join() cannot hang
-    endpoints.stop.set()
-    assert transport.join(timeout=5.0)
-
-
-@exec_faults
-def test_transport_stop_unblocks_without_shutdown():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints = Endpoints(
-        num_workers=1,
-        inboxes=[queue.Queue()],
-        fallbacks=[queue.Queue()],
-    )
-    transport = WorkerTransport(0, endpoints, graph)
-    transport.start()
-    transport.stop()  # the worker's own finally-block escape hatch
-    assert transport.join(timeout=5.0)
-
-
 # ======================================================================
-# shared-memory reply rings
+# no data plane: the graph is the only shared state, and a worker never
+# waits on a peer — so a peer's death cannot stall a survivor
 # ======================================================================
-def test_ring_round_trip_and_wraparound():
-    ring = create_ring(1024)
-    try:
-        peer = attach_ring(ring.handle)
-        rng = np.random.default_rng(7)
-        # frames of ~1/3 capacity force the write cursor across the
-        # segment edge repeatedly; every byte must survive the wrap
-        for _ in range(50):
-            frame = rng.integers(0, 255, size=300, dtype=np.uint8)
-            peer.write([frame])
-            out = ring.read_exact(len(frame))
-            assert np.array_equal(out, frame)
-        peer.close()
-    finally:
-        ring.unlink()
+def _thread_recording_worker_main(out_dir):
+    """Worker entry point recording the name of every thread the worker
+    starts into ``out_dir/worker-<id>.json`` (fork only: the child
+    inherits the closure)."""
+
+    def recording(worker_id, *args, **kwargs):
+        started = []
+        original = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            return original(thread)
+
+        threading.Thread.start = start
+        try:
+            worker_main(worker_id, *args, **kwargs)
+        finally:
+            threading.Thread.start = original
+            (out_dir / f"worker-{worker_id}.json").write_text(
+                json.dumps(started))
+
+    return recording
 
 
-def test_ring_backpressure_blocks_until_drained():
-    ring = create_ring(1024)
-    try:
-        producer = attach_ring(ring.handle)
-        first = np.full(700, 1, dtype=np.uint8)
-        second = np.full(700, 2, dtype=np.uint8)
-        producer.write([first])
-        done = threading.Event()
+@_FORK_ONLY
+def test_process_query_shares_only_the_graph(monkeypatch, tmp_path):
+    from repro.graph import csr
+    from repro.exec import process
 
-        def blocked_write():
-            producer.write([second])  # 700 free < 1024: must wait
-            done.set()
+    created = []
+    real_shm = csr.shared_memory.SharedMemory
 
-        thread = threading.Thread(target=blocked_write, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not done.is_set()  # backpressured, not dropped
-        assert np.array_equal(ring.read_exact(700), first)  # drain
-        assert done.wait(5.0)  # freed space unblocks the producer
-        assert np.array_equal(ring.read_exact(700), second)
-        assert producer.waits >= 1
-        thread.join(5.0)
-        producer.close()
-    finally:
-        ring.unlink()
+    def recording_shm(name=None, create=False, size=0):
+        if create:
+            created.append(name)
+        return real_shm(name=name, create=create, size=size)
 
+    exported = []
+    real_share = process.share_csr
 
-def test_ring_rejects_frames_larger_than_capacity():
-    ring = create_ring(1024)
-    try:
-        with pytest.raises(ValueError, match="exceeds ring capacity"):
-            ring.write([np.zeros(2048, dtype=np.uint8)])
-    finally:
-        ring.unlink()
+    def recording_share(graph):
+        shared = real_share(graph)
+        exported.extend(shared.handle.segment_names())
+        return shared
+
+    monkeypatch.setattr(csr.shared_memory, "SharedMemory", recording_shm)
+    monkeypatch.setattr(process, "share_csr", recording_share)
+    monkeypatch.setattr(process, "worker_main",
+                        _thread_recording_worker_main(tmp_path))
+    graph = _mico()
+    expected = KAutomine(graph, _CLUSTER, graph_name="mico").count_pattern(
+        catalog.clique(3))
+    proc = KAutomine(graph, _CLUSTER, graph_name="mico",
+                     backend=ProcessBackend(workers=2, start_method="fork"))
+    report = proc.count_pattern(catalog.clique(3))
+    assert report.counts == expected.counts
+    # the CSR arrays are the only shared-memory segments of the run
+    assert exported and sorted(created) == sorted(exported)
+    # no worker starts a thread beyond its result queue's feeder
+    for worker_id in (0, 1):
+        threads = json.loads(
+            (tmp_path / f"worker-{worker_id}.json").read_text())
+        assert set(threads) <= {"QueueFeederThread"}, threads
+    _assert_no_stray_children()
 
 
 @exec_faults
-def test_ring_waits_abort_via_callback():
-    # both wait sides must re-check their abort callback: a consumer
-    # waiting on a dead producer and a producer waiting on a dead
-    # consumer both surface RingAborted instead of hanging
-    ring = create_ring(1024)
-    try:
-        dead = threading.Event()
-        dead.set()
-        with pytest.raises(RingAborted):
-            ring.read_exact(8, abort=dead.is_set)
-        ring.write([np.zeros(800, dtype=np.uint8)])
-        with pytest.raises(RingAborted):
-            ring.write([np.zeros(800, dtype=np.uint8)], abort=dead.is_set)
-    finally:
-        ring.unlink()
+def test_worker_sigkill_under_fail_still_collects_the_survivor(monkeypatch):
+    # worker 1 SIGKILLs itself after its first checkpoint delta; worker
+    # 0 never waits on it, so worker 0's RESULT still arrives and the
+    # run ends CRASHED within the liveness bound
+    monkeypatch.setenv("REPRO_CHAOS", "worker-kill:1:1")
+    graph = _mico()
+    backend = ProcessBackend(workers=2, heartbeat=0.2)
+    proc = KAutomine(graph, _CLUSTER, graph_name="mico", backend=backend)
+    started = time.monotonic()
+    report = proc.count_pattern(catalog.clique(3))
+    assert time.monotonic() - started < 60.0
+    failure = report.failure
+    assert failure.outcome.value == "CRASHED"
+    assert failure.partial
+    assert f"signal {int(_signal.SIGKILL)}" in failure.message
+    assert report.extra["exec"]["reported_workers"] == [0]
+    assert report.extra["exec"]["worker_deaths"] == 1
+    _assert_no_stray_children()
 
 
-def test_transport_oversized_payload_takes_fallback():
-    # the hub's edge list exceeds the ring capacity: the reply must
-    # travel pickled on the fallback queue, announced by a marker
-    # frame, and still reassemble bit-identically
-    graph = star_graph(600)  # hub degree 600 x int32 > 1024-byte ring
-    endpoints, rings = _ring_fabric(2, capacity=1024)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        requester.post_chunk(0, [(1, [0, 1, 2])])
-        payload = requester.collect(0, 1, [0, 1, 2])
-        expected, _ = graph.neighbors_batch(np.array([0, 1, 2]))
-        assert np.array_equal(payload, expected)
-        assert requester.fallbacks_received >= 1
-        assert responder.fallbacks_served >= 1
-    finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
-def test_transport_round_trip_matches_direct_reads():
-    # in-budget frames stream through the ring; the reassembled
-    # per-machine payloads must match direct graph reads exactly
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        batches = [(1, list(range(1, 40))), (3, list(range(40, 90)))]
-        requester.post_chunk(0, batches)
-        for machine, vertices in batches:
-            payload = requester.collect(0, machine, vertices)
-            expected, _ = graph.neighbors_batch(
-                np.asarray(vertices, dtype=np.int64))
-            assert np.array_equal(payload, expected)
-        assert requester.fallbacks_received == 0
-        assert requester.frames_received >= 1
-        # machines 0 and 2 live on worker 0 itself: local fast path
-        local = requester.collect(0, 2, [5, 6])
-        expected, _ = graph.neighbors_batch(np.array([5, 6]))
-        assert np.array_equal(local, expected)
-        assert requester.local_requests == 1
-    finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
-# ======================================================================
-# frame integrity — magic/sequence validation
-# ======================================================================
-def test_frame_corruption_raises_structured_error():
-    from repro.errors import TransportCorruptionError
-    from repro.exec.transport import (
-        FRAME_DATA,
-        FRAME_HEADER_BYTES,
-        FRAME_MAGIC,
-    )
-
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    requester = WorkerTransport(0, endpoints, graph)
-    try:
-        vertices = [0, 1]
-        requester.post_chunk(0, [(1, vertices)])
-        expected, _ = graph.neighbors_batch(
-            np.asarray(vertices, dtype=np.int64))
-        # impersonate worker 1's responder with a frame whose magic
-        # word is garbage (payload length is right, so only the header
-        # check can catch it)
-        writer = attach_ring(endpoints.rings[(1, 0)])
-        header = np.array(
-            [FRAME_MAGIC ^ 0xFF, 0, FRAME_DATA, len(expected)],
-            dtype=np.int64,
-        ).view(np.uint8)
-        payload = np.zeros(expected.nbytes, dtype=np.uint8)
-        writer.write([np.concatenate([header, payload])])
-        with pytest.raises(TransportCorruptionError) as excinfo:
-            requester.collect(0, 1, vertices)
-        assert excinfo.value.worker_id == 0
-        assert excinfo.value.peer_worker == 1
-        assert "magic" in str(excinfo.value)
-        writer.close()
-    finally:
-        _unlink_all(rings, requester)
-
-
-def test_frame_sequence_gap_raises_structured_error():
-    from repro.errors import TransportCorruptionError
-
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        # the requester missed a frame: its expected per-pair sequence
-        # number no longer matches what the responder publishes
-        requester._frame_seq_in[1] = 7
-        requester.post_chunk(0, [(1, [1, 2, 3])])
-        with pytest.raises(TransportCorruptionError, match="sequence"):
-            requester.collect(0, 1, [1, 2, 3])
-    finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
-def test_frame_sequence_advances_per_pair():
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        for round_no in range(3):
-            requester.post_chunk(0, [(1, [1, 2])])
-            payload = requester.collect(0, 1, [1, 2])
-            expected, _ = graph.neighbors_batch(
-                np.asarray([1, 2], dtype=np.int64))
-            assert np.array_equal(payload, expected)
-        # three validated frames: both sides agree on the next number
-        assert requester._frame_seq_in[1] == 3
-        assert responder._frame_seq_out[0] == 3
-    finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
+@exec_faults
+def test_worker_sigkill_under_recover_matches_oracle(monkeypatch):
+    graph = _mico()
+    expected = KAutomine(graph, _CLUSTER, graph_name="mico").count_pattern(
+        catalog.clique(3))
+    monkeypatch.setenv("REPRO_CHAOS", "worker-kill:1:1")
+    backend = ProcessBackend(workers=2, heartbeat=0.2,
+                             on_worker_death="recover")
+    proc = KAutomine(graph, _CLUSTER, graph_name="mico", backend=backend)
+    started = time.monotonic()
+    report = proc.count_pattern(catalog.clique(3))
+    assert time.monotonic() - started < 120.0
+    assert report.counts == expected.counts
+    assert report.failure.outcome.value == "RECOVERED"
+    redistribution = report.extra["exec"]["redistribution"]
+    # the survivor replayed worker 1's machines; none fell back inline
+    assert redistribution["inline_fallback"] == 0
+    assert redistribution["workers"] == {0: [1, 3]}
+    _assert_no_stray_children()
 
 
 # ======================================================================
@@ -681,7 +480,6 @@ def test_segment_creation_collision_exhaustion(monkeypatch):
 # in-suite at the smallest useful scale)
 # ======================================================================
 import json as _json
-import signal as _signal
 import subprocess
 import sys
 
@@ -775,24 +573,3 @@ def test_worker_sigkill_redistributes_to_survivors(tmp_path, workers):
     assert redistribution["inline_fallback"] == 0
     assert redistribution["machines"] >= 1
     assert redistribution["workers"]
-
-
-def test_adaptive_chunker_grows_and_shrinks():
-    chunker = AdaptiveChunker(1 << 20, min_bytes=4096)
-    start = chunker.target_bytes
-    chunker.begin_round()   # no previous round: no adaptation
-    chunker.begin_round()   # instant previous round: IPC-dominated
-    assert chunker.target_bytes == min(start * 2, chunker.max_bytes)
-    assert chunker.grows == 1
-    chunker._round_started -= 10.0  # fake a long round
-    chunker.begin_round()
-    assert chunker.shrinks == 1
-    # clamped: never below min_bytes, never above ring capacity
-    for _ in range(40):
-        chunker._round_started -= 10.0
-        chunker.begin_round()
-    assert chunker.target_bytes == chunker.min_bytes
-    for _ in range(40):
-        chunker._round_started = time.perf_counter()
-        chunker.begin_round()
-    assert chunker.target_bytes == chunker.max_bytes
